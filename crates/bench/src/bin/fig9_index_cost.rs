@@ -21,9 +21,12 @@ fn main() {
     } else {
         args.get("count", 4)
     };
-    // Label budget: entries beyond ~600 x |V| count as "out of memory",
-    // calibrated so the two largest datasets fail like the paper's PHL.
-    let label_budget_factor: usize = args.get("label-budget", 600);
+    // Label budget: entries beyond ~300 x |V| count as "out of memory",
+    // set so the two largest datasets fail like the paper's PHL. Labels
+    // are built in contraction-hierarchy order: 80 entries/node at 10k
+    // nodes and 163 at 50k, growing ~n^0.44, which extrapolates to ~265
+    // at E (150k), ~410 at CTR (400k) and ~525 at USA (700k).
+    let label_budget_factor: usize = args.get("label-budget", 300);
 
     let header: Vec<String> = [
         "dataset",

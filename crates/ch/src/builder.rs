@@ -15,10 +15,16 @@ pub struct ChParams {
 impl Default for ChParams {
     fn default() -> Self {
         ChParams {
-            witness_settle_limit: 60,
+            witness_settle_limit: 500,
         }
     }
 }
+
+/// Max edges on a witness path; nodes this many hops from the source are
+/// settled but not expanded. On the synthetic 10k-node road network a
+/// limit of 2–3 leaves far more redundant shortcuts (a denser core, 2–4×
+/// slower contraction, 10–40% larger labels); 5 and 8 measure alike.
+const WITNESS_HOP_LIMIT: u32 = 8;
 
 /// A built contraction hierarchy over an undirected graph.
 pub struct Ch {
@@ -30,97 +36,264 @@ pub struct Ch {
     num_shortcuts: usize,
 }
 
-/// Working adjacency during contraction (original edges + shortcuts,
-/// with per-pair minimum weight maintained lazily).
-struct WorkGraph {
-    adj: Vec<Vec<(NodeId, Dist)>>,
-    contracted: Vec<bool>,
+/// The contraction order of `g` under the default [`ChParams`], most
+/// important node (contracted last) first — the hub order the label
+/// oracle builds on. Deterministic: the same graph always yields the same
+/// order.
+pub fn contraction_order(g: &Graph) -> Vec<NodeId> {
+    let mut seq = Contraction::run(g, ChParams::default()).sequence;
+    seq.reverse();
+    seq
 }
 
-impl WorkGraph {
-    fn new(g: &Graph) -> Self {
-        let mut adj = vec![Vec::new(); g.num_nodes()];
-        for (u, v, w) in g.edges() {
-            adj[u as usize].push((v, w as Dist));
-            adj[v as usize].push((u, w as Dist));
+/// The outcome of contracting every node.
+struct Contraction {
+    /// Nodes in contraction order (least important first).
+    sequence: Vec<NodeId>,
+    /// Each node's live neighbours at the moment it was contracted: all
+    /// contracted later, so this is the upward graph.
+    up: Vec<Vec<(NodeId, Dist)>>,
+    num_shortcuts: usize,
+}
+
+impl Contraction {
+    /// Contract every node of `g`, cheapest first.
+    ///
+    /// Priorities are evaluated lazily: a popped node is re-simulated and
+    /// contracted only if its fresh priority is still the smallest,
+    /// otherwise it goes back with the fresh value. Contracting a node
+    /// never re-simulates its neighbours eagerly; their stale entries are
+    /// corrected when they reach the top.
+    fn run(g: &Graph, params: ChParams) -> Self {
+        let n = g.num_nodes();
+        let mut c = Contractor::new(g, params);
+        let mut shortcuts = Vec::new();
+        let mut heap: BinaryHeap<Reverse<(i64, NodeId)>> = (0..n as NodeId)
+            .map(|v| {
+                c.simulate(v, &mut shortcuts);
+                Reverse((c.priority(v, shortcuts.len()), v))
+            })
+            .collect();
+        let mut sequence = Vec::with_capacity(n);
+        let mut up = vec![Vec::new(); n];
+        let mut num_shortcuts = 0usize;
+        while let Some(Reverse((_, v))) = heap.pop() {
+            c.simulate(v, &mut shortcuts);
+            let entry = (c.priority(v, shortcuts.len()), v);
+            if heap.peek().is_some_and(|&Reverse(top)| entry > top) {
+                heap.push(Reverse(entry));
+                continue;
+            }
+            num_shortcuts += shortcuts.len();
+            up[v as usize] = c.contract(v, &shortcuts);
+            sequence.push(v);
         }
-        WorkGraph {
+        Contraction {
+            sequence,
+            up,
+            num_shortcuts,
+        }
+    }
+}
+
+/// Contraction state: the remaining graph (original edges plus
+/// shortcuts) and the per-node counters the priority reads.
+struct Contractor {
+    /// Live neighbours of each uncontracted node, one entry per neighbour
+    /// carrying the minimum weight; contracted nodes are removed.
+    adj: Vec<Vec<(NodeId, Dist)>>,
+    /// Neighbours contracted so far (spreads contraction evenly).
+    contracted_neighbors: Vec<u32>,
+    /// Hierarchy depth: one more than the deepest contracted neighbour.
+    level: Vec<u32>,
+    witness: Witness,
+    params: ChParams,
+}
+
+impl Contractor {
+    fn new(g: &Graph, params: ChParams) -> Self {
+        let n = g.num_nodes();
+        let adj = (0..n as NodeId)
+            .map(|v| g.neighbors(v).map(|(t, w)| (t, w as Dist)).collect())
+            .collect();
+        Contractor {
             adj,
-            contracted: vec![false; g.num_nodes()],
+            contracted_neighbors: vec![0; n],
+            level: vec![0; n],
+            witness: Witness::new(n),
+            params,
         }
     }
 
-    /// Live neighbors of `v` with the minimum weight per neighbor.
-    fn live_neighbors(&self, v: NodeId) -> Vec<(NodeId, Dist)> {
-        let mut nbrs: Vec<(NodeId, Dist)> = self.adj[v as usize]
-            .iter()
-            .copied()
-            .filter(|&(u, _)| !self.contracted[u as usize])
-            .collect();
-        nbrs.sort_unstable();
-        nbrs.dedup_by(|next, prev| {
-            if next.0 == prev.0 {
-                prev.1 = prev.1.min(next.1);
-                true
-            } else {
-                false
-            }
-        });
+    /// Shortcuts `(u, t, weight)` needed to contract `v` now: one per
+    /// neighbour pair whose path through `v` has no witness of equal or
+    /// smaller length avoiding `v`.
+    fn simulate(&mut self, v: NodeId, out: &mut Vec<(NodeId, NodeId, Dist)>) {
+        out.clear();
+        let nbrs = &self.adj[v as usize];
+        for (i, &(u, du)) in nbrs.iter().enumerate() {
+            self.witness
+                .search(&self.adj, u, du, v, &nbrs[i + 1..], self.params, out);
+        }
+    }
+
+    /// Edge difference, contracted neighbours and level: small for nodes
+    /// whose removal keeps the remaining graph sparse and the hierarchy
+    /// shallow.
+    fn priority(&self, v: NodeId, shortcuts: usize) -> i64 {
+        let v = v as usize;
+        let edge_difference = shortcuts as i64 - self.adj[v].len() as i64;
+        4 * edge_difference + self.contracted_neighbors[v] as i64 + self.level[v] as i64
+    }
+
+    /// Remove `v` from the remaining graph, insert its shortcuts and
+    /// return its neighbours (its upward edges).
+    fn contract(&mut self, v: NodeId, shortcuts: &[(NodeId, NodeId, Dist)]) -> Vec<(NodeId, Dist)> {
+        let nbrs = std::mem::take(&mut self.adj[v as usize]);
+        let next_level = self.level[v as usize] + 1;
+        for &(u, _) in &nbrs {
+            let u = u as usize;
+            let list = &mut self.adj[u];
+            let at = list
+                .iter()
+                .position(|&(x, _)| x == v)
+                .expect("adjacency is symmetric");
+            list.swap_remove(at);
+            self.contracted_neighbors[u] += 1;
+            self.level[u] = self.level[u].max(next_level);
+        }
+        for &(a, b, w) in shortcuts {
+            self.add_or_lower(a, b, w);
+            self.add_or_lower(b, a, w);
+        }
         nbrs
     }
 
-    fn add_edge(&mut self, u: NodeId, v: NodeId, w: Dist) {
-        self.adj[u as usize].push((v, w));
-        self.adj[v as usize].push((u, w));
+    fn add_or_lower(&mut self, from: NodeId, to: NodeId, w: Dist) {
+        let list = &mut self.adj[from as usize];
+        match list.iter_mut().find(|(x, _)| *x == to) {
+            Some(e) => e.1 = e.1.min(w),
+            None => list.push((to, w)),
+        }
+    }
+}
+
+/// Reusable scratch for the bounded witness Dijkstra: arrays indexed by
+/// node, reset through the touched list, so a search costs only what it
+/// visits.
+struct Witness {
+    dist: Vec<Dist>,
+    hops: Vec<u32>,
+    /// Per undecided target, the length its witness must not exceed;
+    /// `INF` for every other node.
+    bound: Vec<Dist>,
+    /// The current targets as `(bound, node)`, ascending.
+    open: Vec<(Dist, NodeId)>,
+    touched: Vec<NodeId>,
+    heap: BinaryHeap<Reverse<(Dist, NodeId)>>,
+}
+
+impl Witness {
+    fn new(n: usize) -> Self {
+        Witness {
+            dist: vec![INF; n],
+            hops: vec![0; n],
+            bound: vec![INF; n],
+            open: Vec::new(),
+            touched: Vec::new(),
+            heap: BinaryHeap::new(),
+        }
     }
 
-    /// Budgeted witness search: shortest distance from `from` to each
-    /// target, avoiding `via` and contracted nodes, capped at `cutoff`
-    /// distance and `settle_limit` settled nodes. Returns distances
-    /// aligned with `targets` (INF where not proven shorter).
-    fn witness(
-        &self,
-        from: NodeId,
-        via: NodeId,
-        targets: &[NodeId],
-        cutoff: Dist,
-        settle_limit: usize,
-    ) -> Vec<Dist> {
-        let mut out = vec![INF; targets.len()];
-        if settle_limit == 0 {
-            return out;
+    /// Witness search from `source` (joined to the node `avoid` by an
+    /// edge of weight `du`) for each `(t, dt)` in `targets`: is there a
+    /// path to `t` avoiding `avoid` no longer than `du + dt`? Pushes a
+    /// shortcut `(source, t, du + dt)` for every target without one.
+    ///
+    /// A target is decided as soon as a tentative distance meets its
+    /// bound (a witness exists) or the search radius passes its bound
+    /// (none can exist); the search stops when every target is decided,
+    /// or at the settle limit. Nodes at the hop limit are settled but
+    /// not expanded. Limits only ever add shortcuts, which is safe.
+    #[allow(clippy::too_many_arguments)]
+    fn search(
+        &mut self,
+        adj: &[Vec<(NodeId, Dist)>],
+        source: NodeId,
+        du: Dist,
+        avoid: NodeId,
+        targets: &[(NodeId, Dist)],
+        params: ChParams,
+        out: &mut Vec<(NodeId, NodeId, Dist)>,
+    ) {
+        if targets.is_empty() {
+            return;
         }
-        let mut dist: std::collections::HashMap<NodeId, Dist> = std::collections::HashMap::new();
-        let mut heap: BinaryHeap<(Reverse<Dist>, NodeId)> = BinaryHeap::new();
-        dist.insert(from, 0);
-        heap.push((Reverse(0), from));
+        self.open.clear();
+        self.open
+            .extend(targets.iter().map(|&(t, dt)| (du + dt, t)));
+        self.open.sort_unstable();
+        for &(b, t) in &self.open {
+            self.bound[t as usize] = b;
+        }
+        let cutoff = self.open[self.open.len() - 1].0;
+        let mut undecided = self.open.len();
+        let mut passed = 0;
         let mut settled = 0usize;
-        let mut remaining: std::collections::HashSet<NodeId> = targets.iter().copied().collect();
-        while let Some((Reverse(d), v)) = heap.pop() {
-            if d > *dist.get(&v).unwrap_or(&INF) {
+        self.dist[source as usize] = 0;
+        self.hops[source as usize] = 0;
+        self.touched.push(source);
+        self.heap.push(Reverse((0, source)));
+        while undecided > 0 && settled < params.witness_settle_limit {
+            let Some(Reverse((d, x))) = self.heap.pop() else {
+                break;
+            };
+            if d > self.dist[x as usize] {
                 continue;
             }
-            if d > cutoff || settled >= settle_limit || remaining.is_empty() {
-                break;
-            }
             settled += 1;
-            if remaining.remove(&v) {
-                let idx = targets.iter().position(|&t| t == v).expect("in targets");
-                out[idx] = d;
+            // Every later distance is >= d: targets bounded below d that
+            // have no witness yet never will.
+            while passed < self.open.len() && self.open[passed].0 < d {
+                let t = self.open[passed].1 as usize;
+                if self.bound[t] != INF {
+                    self.bound[t] = INF;
+                    undecided -= 1;
+                }
+                passed += 1;
             }
-            for &(t, w) in &self.adj[v as usize] {
-                if t == via || self.contracted[t as usize] {
+            let hops = self.hops[x as usize] + 1;
+            if hops > WITNESS_HOP_LIMIT {
+                continue;
+            }
+            for &(t, w) in &adj[x as usize] {
+                let nd = d + w;
+                if t == avoid || nd > cutoff || nd >= self.dist[t as usize] {
                     continue;
                 }
-                let nd = d.saturating_add(w);
-                let cur = dist.entry(t).or_insert(INF);
-                if nd < *cur {
-                    *cur = nd;
-                    heap.push((Reverse(nd), t));
+                if self.dist[t as usize] == INF {
+                    self.touched.push(t);
+                }
+                self.dist[t as usize] = nd;
+                self.hops[t as usize] = hops;
+                self.heap.push(Reverse((nd, t)));
+                if self.bound[t as usize] != INF && nd <= self.bound[t as usize] {
+                    self.bound[t as usize] = INF;
+                    undecided -= 1;
                 }
             }
         }
-        out
+        for &(b, t) in &self.open {
+            self.bound[t as usize] = INF;
+            if self.dist[t as usize] > b {
+                out.push((source, t, b));
+            }
+        }
+        for &v in &self.touched {
+            self.dist[v as usize] = INF;
+        }
+        self.touched.clear();
+        self.heap.clear();
     }
 }
 
@@ -132,97 +305,15 @@ impl Ch {
 
     /// Build the hierarchy by lazy-priority contraction.
     pub fn build_with_params(g: &Graph, params: ChParams) -> Self {
-        let n = g.num_nodes();
-        let mut work = WorkGraph::new(g);
-        let mut contracted_neighbors = vec![0u32; n];
-        let mut rank = vec![0u32; n];
-        let mut num_shortcuts = 0usize;
-
-        // Shortcuts needed to contract `v` right now.
-        let simulate = |work: &WorkGraph, v: NodeId| -> Vec<(NodeId, NodeId, Dist)> {
-            let nbrs = work.live_neighbors(v);
-            let mut shortcuts = Vec::new();
-            for (i, &(u, du)) in nbrs.iter().enumerate() {
-                let targets: Vec<NodeId> = nbrs[i + 1..].iter().map(|&(t, _)| t).collect();
-                if targets.is_empty() {
-                    continue;
-                }
-                let max_through = nbrs[i + 1..]
-                    .iter()
-                    .map(|&(_, dw)| du.saturating_add(dw))
-                    .max()
-                    .expect("non-empty");
-                let wit = work.witness(u, v, &targets, max_through, params.witness_settle_limit);
-                for (j, &(t, dt)) in nbrs[i + 1..].iter().enumerate() {
-                    let through = du.saturating_add(dt);
-                    if wit[j] > through {
-                        shortcuts.push((u, t, through));
-                    }
-                }
-            }
-            shortcuts
-        };
-        let priority = |work: &WorkGraph, cn: &[u32], v: NodeId| -> i64 {
-            let deg = work.live_neighbors(v).len() as i64;
-            let sc = simulate(work, v).len() as i64;
-            // Edge difference + contracted-neighbor spread.
-            (sc - deg) * 4 + cn[v as usize] as i64
-        };
-
-        let mut heap: BinaryHeap<(Reverse<i64>, NodeId)> = (0..n as NodeId)
-            .map(|v| (Reverse(priority(&work, &contracted_neighbors, v)), v))
-            .collect();
-        let mut next_rank = 0u32;
-        while let Some((Reverse(p), v)) = heap.pop() {
-            if work.contracted[v as usize] {
-                continue;
-            }
-            // Lazy update: recompute and re-push unless still minimal.
-            let cur = priority(&work, &contracted_neighbors, v);
-            if cur > p {
-                if let Some(&(Reverse(top), _)) = heap.peek() {
-                    if cur > top {
-                        heap.push((Reverse(cur), v));
-                        continue;
-                    }
-                }
-            }
-            // Contract v.
-            for (u, t, w) in simulate(&work, v) {
-                work.add_edge(u, t, w);
-                num_shortcuts += 1;
-            }
-            for (u, _) in work.live_neighbors(v) {
-                contracted_neighbors[u as usize] += 1;
-            }
-            work.contracted[v as usize] = true;
-            rank[v as usize] = next_rank;
-            next_rank += 1;
-        }
-
-        // Upward adjacency: min weight per (node, higher neighbor).
-        let mut up: Vec<Vec<(NodeId, Dist)>> = vec![Vec::new(); n];
-        for v in 0..n {
-            let mut edges: Vec<(NodeId, Dist)> = work.adj[v]
-                .iter()
-                .copied()
-                .filter(|&(t, _)| rank[t as usize] > rank[v])
-                .collect();
-            edges.sort_unstable();
-            edges.dedup_by(|next, prev| {
-                if next.0 == prev.0 {
-                    prev.1 = prev.1.min(next.1);
-                    true
-                } else {
-                    false
-                }
-            });
-            up[v] = edges;
+        let c = Contraction::run(g, params);
+        let mut rank = vec![0u32; g.num_nodes()];
+        for (r, &v) in c.sequence.iter().enumerate() {
+            rank[v as usize] = r as u32;
         }
         Ch {
             rank,
-            up,
-            num_shortcuts,
+            up: c.up,
+            num_shortcuts: c.num_shortcuts,
         }
     }
 

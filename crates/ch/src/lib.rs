@@ -15,15 +15,30 @@
 //!
 //! # Construction
 //!
-//! Lazy-heap contraction with the standard priority `edge_difference +
-//! contracted_neighbors`: pop the candidate with the smallest stale
-//! priority, recompute, re-push if no longer minimal, otherwise contract.
-//! Shortcut necessity is decided by a budgeted *witness search* (a local
-//! Dijkstra that ignores the node being contracted).
+//! Standard contraction practice, near-linear on road networks:
+//!
+//! - the remaining graph is an adjacency list per node holding one entry
+//!   per live neighbour (minimum weight); contracting a node removes it
+//!   from its neighbours' lists and inserts or lowers its shortcuts;
+//! - shortcut necessity is decided by a *witness search*, a Dijkstra that
+//!   avoids the node being contracted, run on reusable node-indexed
+//!   arrays, bounded by a settle limit and a hop limit, and stopped as
+//!   soon as every target is decided (a tentative distance meets its
+//!   bound, or the search radius passes it);
+//! - the priority is `4 · edge difference + contracted neighbours +
+//!   level`, evaluated lazily: a popped node is re-simulated and
+//!   contracted only if its fresh priority is still the smallest,
+//!   otherwise it is re-queued — neighbours are never re-simulated
+//!   eagerly.
+//!
+//! Construction is deterministic. [`contraction_order`] exposes the
+//! resulting importance order (contracted last = most important first);
+//! the hub-label oracle builds its labels in this order, which keeps them
+//! several times smaller than a degree order (DESIGN.md §7).
 
 pub mod builder;
 
-pub use builder::{Ch, ChParams};
+pub use builder::{contraction_order, Ch, ChParams};
 
 #[cfg(test)]
 mod tests {
@@ -146,5 +161,16 @@ mod tests {
             },
         );
         assert_exact(&g, &ch);
+    }
+
+    #[test]
+    fn contraction_order_is_the_descending_rank_permutation() {
+        let g = grid(9, 7, |x, y| 1 + (x * 5 + y * 11) % 7);
+        let order = contraction_order(&g);
+        assert_eq!(order, contraction_order(&g), "order is deterministic");
+        let ch = Ch::build(&g);
+        let by_rank: Vec<u32> = order.iter().map(|&v| ch.rank(v)).collect();
+        let want: Vec<u32> = (0..g.num_nodes() as u32).rev().collect();
+        assert_eq!(by_rank, want, "most important (highest rank) first");
     }
 }

@@ -773,11 +773,12 @@ impl Engine {
     }
 
     /// [`Engine::repair_indexes`] on a background thread. Returns `false`
-    /// if a repair thread is already running (the running thread will
-    /// pick up any newer updates before exiting). Fire-and-forget: the
-    /// serving layer calls this after each update batch.
+    /// without spawning when there is nothing to repair (e.g. a graph-only
+    /// engine) or a repair thread is already running (the running thread
+    /// will pick up any newer updates before exiting). Fire-and-forget:
+    /// the serving layer calls this after each update batch.
     pub fn repair_in_background(&self) -> bool {
-        if self.shared.repairing.swap(true, Ordering::SeqCst) {
+        if !self.needs_repair() || self.shared.repairing.swap(true, Ordering::SeqCst) {
             return false;
         }
         let engine = self.clone();
@@ -2364,6 +2365,7 @@ mod tests {
     fn scoped_repair_publishes_labels_identical_to_rebuild() {
         let g = grid(6, 6);
         let engine = Engine::new(&g).with_labels();
+        let order = engine.snapshot().hub_labels().unwrap().order();
         engine
             .apply_updates(&[
                 WeightUpdate { u: 7, v: 8, w: 90 },
@@ -2377,12 +2379,41 @@ mod tests {
         assert_eq!(engine.repair_indexes(), 1);
         assert!(!engine.is_stale());
         let repaired = engine.snapshot().hub_labels().unwrap().clone();
-        let fresh = HubLabels::build(engine.snapshot().graph());
+        // A rebuild in the index's own hub order: a contraction order is
+        // weight-dependent, so one recomputed on the patched graph may
+        // differ (and be just as exact).
+        let fresh = HubLabels::build_with_order(engine.snapshot().graph(), &order);
         assert!(*repaired == fresh, "scoped repair must be bit-identical");
+        assert_eq!(repaired.order(), order);
+        let graph = engine.snapshot().graph().clone();
+        for s in 0..36 {
+            let truth = roadnet::dijkstra::dijkstra_all(&graph, s);
+            for t in 0..36 {
+                assert_eq!(repaired.distance(s, t), Some(truth[t as usize]));
+            }
+        }
         let report = engine.last_repair_report().unwrap();
         assert_eq!(report.epoch, 1);
         assert_eq!(report.labels_total, 36);
         assert!(report.labels_repaired >= 1);
+    }
+
+    #[test]
+    fn graph_only_update_spawns_no_repair() {
+        let g = grid(4, 4);
+        let engine = Engine::new(&g);
+        engine
+            .apply_updates(&[WeightUpdate { u: 0, v: 1, w: 50 }])
+            .unwrap();
+        assert!(!engine.needs_repair());
+        assert!(!engine.repair_in_background(), "nothing to repair");
+        assert!(!engine.shared.repairing.load(Ordering::SeqCst));
+        // A label-backed engine still kicks its repair.
+        let labeled = Engine::new(&g).with_labels();
+        labeled
+            .apply_updates(&[WeightUpdate { u: 0, v: 1, w: 50 }])
+            .unwrap();
+        assert!(labeled.repair_in_background());
     }
 
     #[test]

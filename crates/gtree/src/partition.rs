@@ -188,11 +188,12 @@ fn bisect(g: &Graph, mut verts: Vec<NodeId>) -> (Vec<NodeId>, Vec<NodeId>) {
 
 /// One pass of greedy boundary refinement: a vertex moves to the other side
 /// if that strictly reduces the number of cut edges, as long as the balance
-/// stays within 10% of even.
+/// stays within 10% of even and neither side empties (an empty side would
+/// hand [`split_recursive`] the same part again, forever).
 fn refine_cut(g: &Graph, left: Vec<NodeId>, right: Vec<NodeId>) -> (Vec<NodeId>, Vec<NodeId>) {
     let total = left.len() + right.len();
     let slack = total / 10 + 1;
-    let lo = (total / 2).saturating_sub(slack);
+    let lo = (total / 2).saturating_sub(slack).max(1);
     let hi = total / 2 + slack;
 
     // side: 0 = left, 1 = right, sparse map over this part only.
@@ -293,6 +294,33 @@ mod tests {
             }
         }
         check(&p, 10);
+    }
+
+    #[test]
+    fn leaf_cap_one_terminates_with_singleton_leaves() {
+        // Two-vertex parts used to refine to 0/2 and recurse forever.
+        for (w, h) in [(2, 1), (3, 1), (2, 2), (5, 4)] {
+            let mut b = GraphBuilder::new();
+            for y in 0..h {
+                for x in 0..w {
+                    b.add_node(x as f64, y as f64);
+                }
+            }
+            for v in 0..(w * h - 1) {
+                b.add_edge(v, v + 1, 1);
+            }
+            let g = b.build();
+            for fanout in [2, 4] {
+                let root = partition_graph(&g, fanout, 1);
+                assert_eq!(root.num_leaves(), g.num_nodes());
+                let mut all = Vec::new();
+                root.collect_vertices(&mut all);
+                all.sort_unstable();
+                assert_eq!(all, (0..g.num_nodes() as NodeId).collect::<Vec<_>>());
+            }
+        }
+        let g = grid(6, 5);
+        assert_eq!(partition_graph(&g, 2, 1).num_leaves(), 30);
     }
 
     #[test]

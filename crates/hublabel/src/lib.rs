@@ -12,41 +12,40 @@
 //!
 //! # Algorithm
 //!
-//! Vertices are ranked by a heuristic importance order (degree by default).
+//! Vertices are ranked by an importance order: the contraction-hierarchy
+//! order ([`ch_index::contraction_order`]), which keeps labels several
+//! times smaller than a degree order on road networks (DESIGN.md §7).
 //! For each vertex `v` in rank order, a *pruned Dijkstra* from `v` visits
 //! node `u` at distance `d`; if the labels built so far already certify
 //! `dist(v, u) <= d`, the search is pruned at `u`; otherwise `(v, d)` is
 //! appended to `u`'s label. The result is a *2-hop cover*: for every pair
 //! `(s, t)` some vertex on a shortest `s`-`t` path is in both labels.
 //!
+//! The labels carry their own order: the root of each search is never
+//! pruned, and once hub `v` is processed every later search prunes at
+//! `v`, so `v`'s last entry is always `(rank(v), 0)`. [`HubLabels::order`]
+//! reads the order back from there, and scoped repair replays hubs in it
+//! whatever order the index was built in.
+//!
 //! Queries are a sorted-list merge: `min over common hubs h of
 //! L_s(h) + L_t(h)` — microseconds in practice.
 
 pub mod persist;
 
+use ch_index::contraction_order;
 use roadnet::flat::FlatVec;
 use roadnet::{Dist, Graph, NodeId, INF};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
-/// Hub ordering strategies. Higher-ranked vertices become hubs first and
-/// appear in more labels; a good order keeps labels small.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ordering {
-    /// Descending degree (ties by id). Good default for road networks.
-    Degree,
-    /// Input order (0, 1, 2, ...) — only useful as an ablation baseline.
-    Input,
-}
-
-/// Turn an importance score per vertex into an explicit hub order
-/// (most important first). Convenience for [`HubLabels::build_with_order`];
-/// e.g. pass contraction-hierarchy ranks for much smaller labels than the
-/// degree heuristic (see `crates/bench/src/bin/ablation_label_order.rs`).
-pub fn order_by_importance(scores: &[u64]) -> Vec<NodeId> {
-    let mut order: Vec<NodeId> = (0..scores.len() as NodeId).collect();
-    order.sort_by_key(|&v| (Reverse(scores[v as usize]), v));
+/// Vertices by descending degree, ties by id: the classic cheap hub
+/// order, kept as the ablation baseline for the default
+/// contraction-hierarchy order (see
+/// `crates/bench/src/bin/ablation_label_order.rs`).
+pub fn degree_order(g: &Graph) -> Vec<NodeId> {
+    let mut order: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
+    order.sort_by_key(|&v| (Reverse(g.degree(v)), v));
     order
 }
 
@@ -67,9 +66,9 @@ pub struct HubLabels {
 }
 
 impl HubLabels {
-    /// Build labels with the default ([`Ordering::Degree`]) order.
+    /// Build labels in the contraction-hierarchy order.
     pub fn build(g: &Graph) -> Self {
-        Self::build_with_ordering(g, Ordering::Degree)
+        Self::build_with_order(g, &contraction_order(g))
     }
 
     /// Build labels, giving up when the total label count exceeds
@@ -77,17 +76,7 @@ impl HubLabels {
     /// of memory on the largest datasets (Fig. 9): label size is the
     /// dominant cost and grows super-linearly with the graph.
     pub fn build_with_limit(g: &Graph, max_entries: usize) -> Option<Self> {
-        Self::build_inner(g, Ordering::Degree, Some(max_entries))
-    }
-
-    /// Build labels with an explicit hub order.
-    pub fn build_with_ordering(g: &Graph, ordering: Ordering) -> Self {
-        let n = g.num_nodes();
-        let mut order: Vec<NodeId> = (0..n as NodeId).collect();
-        if ordering == Ordering::Degree {
-            order.sort_by_key(|&v| (Reverse(g.degree(v)), v));
-        }
-        Self::build_with_order_inner(g, &order, None).expect("no limit given")
+        Self::build_with_order_inner(g, &contraction_order(g), Some(max_entries))
     }
 
     /// Build labels with a fully custom hub order (most important first).
@@ -95,15 +84,6 @@ impl HubLabels {
     pub fn build_with_order(g: &Graph, order: &[NodeId]) -> Self {
         assert_eq!(order.len(), g.num_nodes(), "order must cover every node");
         Self::build_with_order_inner(g, order, None).expect("no limit given")
-    }
-
-    fn build_inner(g: &Graph, ordering: Ordering, max_entries: Option<usize>) -> Option<Self> {
-        let n = g.num_nodes();
-        let mut order: Vec<NodeId> = (0..n as NodeId).collect();
-        if ordering == Ordering::Degree {
-            order.sort_by_key(|&v| (Reverse(g.degree(v)), v));
-        }
-        Self::build_with_order_inner(g, &order, max_entries)
     }
 
     fn build_with_order_inner(
@@ -135,7 +115,9 @@ impl HubLabels {
                 if d > dist[u as usize] {
                     continue;
                 }
-                // Pruning test: is (hub -> u) already certified by earlier hubs?
+                // Pruning test: is (hub -> u) already certified by earlier
+                // hubs? The root is never pruned, so every label ends in
+                // its own hub (see [`HubLabels::order`]).
                 let mut certified = INF;
                 for &(r, du) in &labels[u as usize] {
                     let dh = hub_dist_by_rank[r as usize];
@@ -143,7 +125,7 @@ impl HubLabels {
                         certified = certified.min(dh + du);
                     }
                 }
-                if certified <= d {
+                if certified <= d && u != hub {
                     continue;
                 }
                 labels[u as usize].push((rank, d));
@@ -173,12 +155,10 @@ impl HubLabels {
         Some(HubLabels::from_labels(labels))
     }
 
-    /// Build labels in parallel with the default ([`Ordering::Degree`])
-    /// order across `workers` threads (`0` = one per core).
+    /// Build labels in the contraction-hierarchy order across `workers`
+    /// threads (`0` = one per core); bit-identical to [`HubLabels::build`].
     pub fn build_parallel(g: &Graph, workers: usize) -> Self {
-        let mut order: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
-        order.sort_by_key(|&v| (Reverse(g.degree(v)), v));
-        Self::build_with_order_parallel(g, &order, workers)
+        Self::build_with_order_parallel(g, &contraction_order(g), workers)
     }
 
     /// Parallel pruned-labeling build with an explicit hub order.
@@ -223,7 +203,7 @@ impl HubLabels {
                             certified = certified.min(dh + du);
                         }
                     }
-                    if certified <= d {
+                    if certified <= d && u != hub {
                         continue;
                     }
                     labels[u as usize].push((rank, d));
@@ -386,25 +366,39 @@ impl HubLabels {
         self.offsets.len() * 8 + self.ranks.len() * 4 + self.dists.len() * 8
     }
 
-    /// Scoped repair after a batch of edge-weight changes, with the
-    /// default ([`Ordering::Degree`]) hub order. `self` must have been
-    /// built with that order (both build paths use it); the order is
-    /// topology-only, so it is recomputable from the patched graph.
-    pub fn repair_scoped(
-        &self,
-        g: &Graph,
-        touched: &[(NodeId, NodeId)],
-    ) -> (HubLabels, LabelRepairStats) {
-        let mut order: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
-        order.sort_by_key(|&v| (Reverse(g.degree(v)), v));
-        self.repair_scoped_with_order(g, &order, touched)
+    /// The hub order the labels were built in (most important first),
+    /// read back from the labels in O(n): every label ends in its own
+    /// hub at distance 0 (see the module docs), so node `v`'s last entry
+    /// names `v`'s rank.
+    pub fn order(&self) -> Vec<NodeId> {
+        self.recover_order()
+            .expect("every label ends in its own hub (checked on load)")
     }
 
-    /// Scoped repair with an explicit hub order (must be the order `self`
-    /// was built with). `g` is the *patched* graph; `touched` lists the
-    /// edges whose weights differ from the graph the labels were built on
-    /// (a superset is safe). Returns labels **bit-identical** to
-    /// `build_with_order(g, order)` plus repair-cost counters.
+    /// [`HubLabels::order`], or `None` if the labels do not end in a
+    /// permutation of self-hubs at distance 0 (a corrupt index).
+    pub(crate) fn recover_order(&self) -> Option<Vec<NodeId>> {
+        let n = self.num_nodes();
+        let mut order = vec![NodeId::MAX; n];
+        for v in 0..n as NodeId {
+            let (ranks, dists) = self.label(v);
+            let (&r, &d) = ranks.last().zip(dists.last())?;
+            let slot = order.get_mut(r as usize)?;
+            if d != 0 || *slot != NodeId::MAX {
+                return None;
+            }
+            *slot = v;
+        }
+        Some(order)
+    }
+
+    /// Scoped repair after a batch of edge-weight changes. `g` is the
+    /// *patched* graph; `touched` lists the edges whose weights differ
+    /// from the graph the labels were built on (a superset is safe).
+    /// Returns labels **bit-identical** to `build_with_order(g,
+    /// &self.order())` — a rebuild in the index's own hub order, read
+    /// back from the labels, whatever order that is — plus repair-cost
+    /// counters.
     ///
     /// Why a per-hub certificate exists: the build's pruned Dijkstra
     /// relaxes the neighbors of a node only when the node is settled
@@ -420,15 +414,14 @@ impl HubLabels {
     /// `label(u)` — `u`'s own rank, plus ranks in the old labels of `u`'s
     /// neighbors (the only way a search settles `u`) — is flagged too.
     /// This holds for weight increases and decreases alike.
-    pub fn repair_scoped_with_order(
+    pub fn repair_scoped(
         &self,
         g: &Graph,
-        order: &[NodeId],
         touched: &[(NodeId, NodeId)],
     ) -> (HubLabels, LabelRepairStats) {
         let n = g.num_nodes();
-        assert_eq!(order.len(), n, "order must cover every node");
         assert_eq!(self.num_nodes(), n, "labels must match the graph");
+        let order = self.order();
 
         let mut rank_of = vec![0u32; n];
         for (rank, &hub) in order.iter().enumerate() {
@@ -586,7 +579,7 @@ impl SearchScratch {
                     certified = certified.min(dh + du);
                 }
             }
-            if certified <= d {
+            if certified <= d && u != hub {
                 continue;
             }
             out.push((u, d));
@@ -656,10 +649,11 @@ mod tests {
     }
 
     #[test]
-    fn exact_with_input_ordering() {
+    fn exact_with_input_and_degree_orders() {
         let g = grid(4, 4);
-        let hl = HubLabels::build_with_ordering(&g, Ordering::Input);
-        assert_exact(&g, &hl);
+        let input: Vec<NodeId> = (0..16).collect();
+        assert_exact(&g, &HubLabels::build_with_order(&g, &input));
+        assert_exact(&g, &HubLabels::build_with_order(&g, &degree_order(&g)));
     }
 
     #[test]
@@ -702,12 +696,46 @@ mod tests {
         let g = grid(6, 5);
         let canonical = HubLabels::build_parallel(&g, 1);
         assert_exact(&g, &canonical);
-        for workers in [2, 3, 8] {
+        for workers in [2, 3, 4, 8] {
             let hl = HubLabels::build_parallel(&g, workers);
             assert!(
                 hl == canonical,
                 "labels differ with {workers} workers (batch result must not depend on scheduling)"
             );
+        }
+    }
+
+    #[test]
+    fn default_order_is_the_contraction_order() {
+        let g = grid(7, 6);
+        let ch = ch_index::contraction_order(&g);
+        let seq = HubLabels::build(&g);
+        assert!(seq == HubLabels::build_with_order(&g, &ch));
+        assert_eq!(seq.order(), ch);
+        for workers in [1, 2, 4] {
+            let par = HubLabels::build_parallel(&g, workers);
+            assert!(par == seq, "CH-order parallel build with {workers} workers");
+        }
+    }
+
+    /// The three hub orders the repair tests cover: contraction (the
+    /// default), degree, and reversed ids (a deliberately poor order).
+    fn orders(g: &Graph) -> [Vec<NodeId>; 3] {
+        [
+            ch_index::contraction_order(g),
+            degree_order(g),
+            (0..g.num_nodes() as NodeId).rev().collect(),
+        ]
+    }
+
+    #[test]
+    fn order_reads_back_the_build_order() {
+        let g = grid(6, 5);
+        for order in orders(&g) {
+            let seq = HubLabels::build_with_order(&g, &order);
+            assert_eq!(seq.order(), order);
+            let par = HubLabels::build_with_order_parallel(&g, &order, 3);
+            assert_eq!(par.order(), order);
         }
     }
 
@@ -756,11 +784,6 @@ mod tests {
         let order: Vec<NodeId> = (0..25).rev().collect();
         let hl = HubLabels::build_with_order(&g, &order);
         assert_exact(&g, &hl);
-        // order_by_importance sorts descending by score.
-        let scores: Vec<u64> = (0..25).map(|v| v as u64 * 7 % 13).collect();
-        let order = order_by_importance(&scores);
-        let hl = HubLabels::build_with_order(&g, &order);
-        assert_exact(&g, &hl);
     }
 
     #[test]
@@ -777,36 +800,48 @@ mod tests {
     #[test]
     fn repair_scoped_is_bit_identical_to_rebuild() {
         let g = grid(6, 5);
-        let hl = HubLabels::build(&g);
-        // Increase, decrease, and a mixed batch — each must reproduce the
-        // from-scratch index exactly.
-        for patch in [
-            vec![(7u32, 8u32, 9u32)],
-            vec![(12, 18, 1)],
-            vec![(0, 1, 5), (14, 15, 1), (22, 28, 7)],
-        ] {
-            let g2 = patched(&g, &patch);
-            let touched: Vec<(NodeId, NodeId)> = patch.iter().map(|&(u, v, _)| (u, v)).collect();
-            let (repaired, stats) = hl.repair_scoped(&g2, &touched);
-            let rebuilt = HubLabels::build(&g2);
-            assert!(repaired == rebuilt, "repair diverged for patch {patch:?}");
-            assert_eq!(stats.roots_total, g.num_nodes());
-            assert!(stats.roots_searched <= stats.roots_total);
+        for order in orders(&g) {
+            let hl = HubLabels::build_with_order(&g, &order);
+            // Increase, decrease, and a mixed batch — each must reproduce
+            // a from-scratch build in the index's own order exactly.
+            for patch in [
+                vec![(7u32, 8u32, 9u32)],
+                vec![(12, 18, 1)],
+                vec![(0, 1, 5), (14, 15, 1), (22, 28, 7)],
+            ] {
+                let g2 = patched(&g, &patch);
+                let touched: Vec<(NodeId, NodeId)> =
+                    patch.iter().map(|&(u, v, _)| (u, v)).collect();
+                let (repaired, stats) = hl.repair_scoped(&g2, &touched);
+                let rebuilt = HubLabels::build_with_order(&g2, &order);
+                assert!(repaired == rebuilt, "repair diverged for patch {patch:?}");
+                assert_eq!(repaired.order(), order);
+                assert_exact(&g2, &repaired);
+                assert_eq!(stats.roots_total, g.num_nodes());
+                assert!(stats.roots_searched <= stats.roots_total);
+            }
         }
     }
 
     #[test]
     fn repair_scoped_handles_repeated_batches() {
         // Chain repairs: each repair feeds the next, staying identical to
-        // a rebuild at every step (including a weight round-trip).
+        // a rebuild in the original order at every step (including a
+        // weight round-trip).
         let g0 = grid(5, 5);
-        let mut hl = HubLabels::build(&g0);
-        let mut g = g0.clone();
-        for patch in [(6u32, 7u32, 9u32), (6, 7, 1), (17, 22, 4), (6, 7, 2)] {
-            g = patched(&g, &[patch]);
-            let (next, _) = hl.repair_scoped(&g, &[(patch.0, patch.1)]);
-            assert!(next == HubLabels::build(&g), "diverged at patch {patch:?}");
-            hl = next;
+        for order in orders(&g0) {
+            let mut hl = HubLabels::build_with_order(&g0, &order);
+            let mut g = g0.clone();
+            for patch in [(6u32, 7u32, 9u32), (6, 7, 1), (17, 22, 4), (6, 7, 2)] {
+                g = patched(&g, &[patch]);
+                let (next, _) = hl.repair_scoped(&g, &[(patch.0, patch.1)]);
+                assert!(
+                    next == HubLabels::build_with_order(&g, &order),
+                    "diverged at patch {patch:?}"
+                );
+                assert_exact(&g, &next);
+                hl = next;
+            }
         }
     }
 
@@ -827,11 +862,26 @@ mod tests {
         let hl = HubLabels::build_parallel(&g, 4);
         let g2 = patched(&g, &[(5, 11, 8), (13, 14, 1)]);
         let (repaired, stats) = hl.repair_scoped(&g2, &[(5, 11), (13, 14)]);
-        assert!(repaired == HubLabels::build(&g2));
+        assert!(repaired == HubLabels::build_with_order(&g2, &hl.order()));
+        assert_exact(&g2, &repaired);
         assert!(
             stats.roots_searched < stats.roots_total,
             "a two-edge patch should not invalidate every hub"
         );
+    }
+
+    #[test]
+    fn zero_weight_edges_keep_the_self_hub_invariant() {
+        // Weights are clamped to >= 1 at every entry point, but the root
+        // of each search is never pruned, so even a zero-weight edge
+        // leaves every label ending in its own hub.
+        let g = patched(&grid(4, 3), &[(1, 2, 0), (5, 6, 0)]);
+        for order in orders(&g) {
+            let hl = HubLabels::build_with_order(&g, &order);
+            assert_eq!(hl.order(), order);
+            assert!(HubLabels::build_with_order_parallel(&g, &order, 2) == hl);
+            assert_exact(&g, &hl);
+        }
     }
 
     #[test]

@@ -32,6 +32,9 @@ pub enum PersistError {
     Oversized,
     /// Labels must be sorted by hub rank; a corrupt stream is rejected.
     UnsortedLabel(usize),
+    /// Every label must end in its own hub at distance 0, the hubs
+    /// forming a permutation: the hub order repair reads back.
+    NoHubOrder,
 }
 
 impl fmt::Display for PersistError {
@@ -42,6 +45,7 @@ impl fmt::Display for PersistError {
             PersistError::Truncated => write!(f, "unexpected end of data"),
             PersistError::Oversized => write!(f, "declared length exceeds input"),
             PersistError::UnsortedLabel(v) => write!(f, "label of node {v} is not sorted"),
+            PersistError::NoHubOrder => write!(f, "labels do not end in their own hubs"),
         }
     }
 }
@@ -137,7 +141,11 @@ impl HubLabels {
             }
             labels.push(label);
         }
-        Ok(HubLabels::from_labels(labels))
+        let labels = HubLabels::from_labels(labels);
+        if labels.recover_order().is_none() {
+            return Err(PersistError::NoHubOrder);
+        }
+        Ok(labels)
     }
 
     /// Serialize into the flat v2 container (DESIGN.md §11). Sections:
@@ -169,7 +177,8 @@ impl HubLabels {
     /// Zero-copy load of a flat v2 label index: the file is brought behind
     /// one aligned buffer (mapped when possible, see [`LoadMode::Auto`])
     /// and all three CSR arrays are served directly from it. Validation
-    /// only scans — no per-node allocation or decode pass.
+    /// only scans — no per-node allocation or decode pass (one O(n) array
+    /// checks that the labels carry their hub order).
     pub fn read_flat(path: &Path) -> Result<Self, FlatError> {
         Self::read_flat_with(path, LoadMode::Auto)
     }
@@ -214,7 +223,9 @@ impl HubLabels {
             }),
             "label ranks sorted",
         )?;
-        Ok(HubLabels::from_flat_parts(offsets, ranks, dists))
+        let labels = HubLabels::from_flat_parts(offsets, ranks, dists);
+        ensure(labels.recover_order().is_some(), "label self hubs")?;
+        Ok(labels)
     }
 }
 
@@ -413,6 +424,31 @@ mod tests {
         assert!(matches!(
             HubLabels::from_flat_bytes(&bytes),
             Err(roadnet::flat::FlatError::Corrupt("label ranks sorted"))
+        ));
+    }
+
+    #[test]
+    fn rejects_labels_without_their_hub_order() {
+        // Drop node 0's last entry (its own hub): the order is lost.
+        let hl = sample();
+        let labels: Vec<Vec<(u32, Dist)>> = (0..hl.num_nodes() as u32)
+            .map(|v| {
+                let (r, d) = hl.label(v);
+                let mut l: Vec<(u32, Dist)> = r.iter().copied().zip(d.iter().copied()).collect();
+                if v == 0 {
+                    l.pop();
+                }
+                l
+            })
+            .collect();
+        let broken = HubLabels::from_labels(labels);
+        assert!(matches!(
+            HubLabels::from_bytes(&broken.to_bytes()),
+            Err(PersistError::NoHubOrder)
+        ));
+        assert!(matches!(
+            HubLabels::from_flat_bytes(&broken.to_flat_bytes()),
+            Err(roadnet::flat::FlatError::Corrupt("label self hubs"))
         ));
     }
 }

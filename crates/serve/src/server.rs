@@ -675,12 +675,32 @@ fn handle_line(
                 deadline,
                 writer: Arc::clone(writer),
             };
-            match tx.try_send(job) {
+            // Reserve a queue slot on the gauge *before* sending: a worker
+            // may receive the job and decrement the gauge before
+            // `try_send` even returns, so incrementing afterwards let it
+            // wrap below zero. The reservation also bounds the gauge by
+            // the depth, and the channel (never fuller than the gauge)
+            // always has room for a reserved job.
+            let depth = config.queue_depth.max(1) as u64;
+            let reserved = shared
+                .queued
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |q| {
+                    (q < depth).then_some(q + 1)
+                })
+                .is_ok();
+            let sent = if reserved {
+                tx.try_send(job)
+            } else {
+                Err(TrySendError::Full(job))
+            };
+            match sent {
                 Ok(()) => {
-                    shared.queued.fetch_add(1, Ordering::Relaxed);
                     shared.metrics.lock().unwrap().requests += 1;
                 }
                 Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
+                    if reserved {
+                        shared.queued.fetch_sub(1, Ordering::Relaxed);
+                    }
                     shared.metrics.lock().unwrap().shed += 1;
                     write_response(
                         &job.writer,

@@ -681,3 +681,75 @@ fn update_stream_orders_acks_and_stays_exact() {
         }
     });
 }
+
+/// The `queued` gauge is reserved before a job is sent and released after
+/// a worker receives it, so under concurrent pipelined load it never
+/// exceeds the queue depth and never wraps below zero (a wrapped gauge
+/// reads 2^64 - 1, which the typed health parser rejects).
+#[test]
+fn queued_gauge_stays_within_the_queue_depth() {
+    const DEPTH: usize = 2;
+    const CLIENTS: usize = 4;
+    const BURST: usize = 64;
+    const ROUNDS: usize = 16;
+    let graph = test_graph(19, 300);
+    let (p, q) = pq(&graph, 20);
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 4,
+        queue_depth: DEPTH,
+        ..ServeConfig::default()
+    };
+    let (polls, summary) = with_server(config, &graph, |addr| {
+        let start = std::sync::Barrier::new(CLIENTS + 1);
+        let done = AtomicUsize::new(0);
+        thread::scope(|s| {
+            for c in 0..CLIENTS {
+                let (start, done, p, q) = (&start, &done, &p, &q);
+                s.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    start.wait();
+                    // Bursts bounded so responses fit the socket buffers
+                    // while the client is still sending.
+                    for round in 0..ROUNDS {
+                        for i in 0..BURST {
+                            let id = format!("c{c}-{round}-{i}");
+                            let req = query_req(&id, p, q, 0.5, Aggregate::Sum);
+                            client.send(&req).expect("send");
+                        }
+                        for _ in 0..BURST {
+                            client.recv().expect("recv");
+                        }
+                    }
+                    done.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            let mut health = Client::connect(addr).expect("connect");
+            start.wait();
+            let mut polls = 0;
+            while done.load(Ordering::SeqCst) < CLIENTS {
+                let resp = health
+                    .call(&Request {
+                        id: None,
+                        op: Op::Health,
+                    })
+                    .expect("health parses (gauge did not wrap)");
+                match resp.body {
+                    Body::Health(h) => assert!(
+                        h.queued <= DEPTH as u64,
+                        "queued {} exceeds depth {DEPTH}",
+                        h.queued
+                    ),
+                    other => panic!("expected health, got {other:?}"),
+                }
+                polls += 1;
+            }
+            polls
+        })
+    });
+    assert!(polls > 0);
+    assert_eq!(
+        summary.metrics.shed + summary.metrics.ok + summary.metrics.empty + summary.metrics.errors,
+        (CLIENTS * ROUNDS * BURST) as u64
+    );
+}

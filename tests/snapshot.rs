@@ -17,7 +17,8 @@
 //!   prefix is the CI filter for the multi-threaded step.
 //! * **scoped repair ≡ rebuild** — `HubLabels::repair_scoped` and
 //!   `GTree::repair_scoped`, driven by a [`RepairScope`], produce indexes
-//!   bit-identical to a from-scratch build on the patched graph:
+//!   bit-identical to a from-scratch build on the patched graph (labels:
+//!   in the index's own hub order, for any order it was built in):
 //!   structurally (`PartialEq`), in the serialized artifact bytes, and in
 //!   query answers — for chained per-batch repairs and for merged
 //!   multi-batch scopes alike.
@@ -293,24 +294,48 @@ proptest! {
         let touched2: Vec<_> = scope2.touched_pairs().collect();
         let merged_pairs: Vec<_> = merged.touched_pairs().collect();
 
-        // Hub labels: chained repairs, each vs a from-scratch build.
-        let l0 = HubLabels::build(&g);
-        let (l1, s1) = l0.repair_scoped(&g1, &touched1);
-        let want1 = HubLabels::build(&g1);
-        prop_assert!(l1 == want1, "label repair diverged (increase batch)");
-        prop_assert!(l1.to_bytes() == want1.to_bytes(), "label artifact bytes differ");
-        prop_assert_eq!(s1.roots_total, g.num_nodes());
-        prop_assert!(s1.roots_searched <= s1.roots_total);
+        // Hub labels, for the default contraction order, degree order and
+        // reversed ids: chained repairs, each vs a from-scratch build in
+        // the index's own order (a contraction order is weight-dependent,
+        // so one recomputed on the patched graph may differ), plus
+        // distances against Dijkstra truth.
+        let n = g.num_nodes() as u32;
+        let mut repaired_default = None;
+        for order in [
+            HubLabels::build(&g).order(),
+            fannr::hublabel::degree_order(&g),
+            (0..n).rev().collect(),
+        ] {
+            let l0 = HubLabels::build_with_order(&g, &order);
+            prop_assert_eq!(l0.order(), order.clone());
+            let (l1, s1) = l0.repair_scoped(&g1, &touched1);
+            let want1 = HubLabels::build_with_order(&g1, &order);
+            prop_assert!(l1 == want1, "label repair diverged (increase batch)");
+            prop_assert!(l1.to_bytes() == want1.to_bytes(), "label artifact bytes differ");
+            prop_assert_eq!(l1.order(), order.clone());
+            prop_assert_eq!(s1.roots_total, g.num_nodes());
+            prop_assert!(s1.roots_searched <= s1.roots_total);
 
-        let (l2, _) = l1.repair_scoped(&g2, &touched2);
-        let want2 = HubLabels::build(&g2);
-        prop_assert!(l2 == want2, "label repair diverged (decrease batch)");
-        prop_assert!(l2.to_bytes() == want2.to_bytes(), "label artifact bytes differ");
+            let (l2, _) = l1.repair_scoped(&g2, &touched2);
+            let want2 = HubLabels::build_with_order(&g2, &order);
+            prop_assert!(l2 == want2, "label repair diverged (decrease batch)");
+            prop_assert!(l2.to_bytes() == want2.to_bytes(), "label artifact bytes differ");
 
-        // Merged scope: one repair straight from the original labels.
-        let (lm, _) = l0.repair_scoped(&g2, &merged_pairs);
-        prop_assert!(lm == want2, "merged-scope label repair diverged");
-        prop_assert!(lm.to_bytes() == want2.to_bytes(), "label artifact bytes differ");
+            // Merged scope: one repair straight from the original labels.
+            let (lm, _) = l0.repair_scoped(&g2, &merged_pairs);
+            prop_assert!(lm == want2, "merged-scope label repair diverged");
+            prop_assert!(lm.to_bytes() == want2.to_bytes(), "label artifact bytes differ");
+            for s in 0..n {
+                let truth = fannr::roadnet::dijkstra::dijkstra_all(&g2, s);
+                for t in 0..n {
+                    let want = (truth[t as usize] != fannr::roadnet::INF)
+                        .then_some(truth[t as usize]);
+                    prop_assert_eq!(lm.distance(s, t), want, "pair {}->{}", s, t);
+                }
+            }
+            repaired_default.get_or_insert(lm);
+        }
+        let lm = repaired_default.expect("the default order ran first");
 
         // G-tree: same three shapes against a parallel from-scratch build.
         let params = GTreeParams { fanout: 2, leaf_cap: 4 };
